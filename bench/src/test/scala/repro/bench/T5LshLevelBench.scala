@@ -1,7 +1,7 @@
 package repro.bench
 
 import repro.SparkSpec
-import repro.core.Slim
+import repro.core.{Lsh, Slim}
 import repro.exp.Experiments
 import repro.exp.Experiments._
 
@@ -13,20 +13,22 @@ class T5LshLevelBench extends SparkSpec {
   private val sigLevels = Seq(10, 12, 14, 16)
   private val steps = Seq(12, 24, 48)
   private val cfg = Slim.SlimConfig()
+  private val grid = for (lvl <- sigLevels; step <- steps)
+    yield Lsh.LshConfig(t = 0.6, sigLevel = lvl, stepWindows = step, numBuckets = 4096)
 
   private lazy val cabSc = cabScenario(spark, n = 50, recsPerEntity = 400, days = 4,
     rho = 0.5, p = 0.5)
-  private lazy val cabRows = lshLevelSweep(spark, cabSc, cfg, sigLevels, steps)
+  private lazy val cabRows = lshSweep(spark, cabSc, cfg, grid)
 
   private lazy val smSc = smScenario(spark, n = 250, recsPerEntity = 24, days = 8,
     rho = 0.5, p = 0.5)
-  private lazy val smRows = lshLevelSweep(spark, smSc, cfg, sigLevels, steps)
+  private lazy val smRows = lshSweep(spark, smSc, cfg, grid)
 
-  private def show(name: String, rows: Seq[LshLevelRow]): Unit =
+  private def show(name: String, rows: Seq[LshRow]): Unit =
     Experiments.printTable(
       s"T5 Fig8 $name: LSH relF1/speedup vs (signature level, step)",
       Seq("sigLevel", "step", "relF1", "speedup", "candidates"),
-      rows.map(r => Seq(r.sigLevel, r.stepWindows, r.relF1, r.speedup, r.candidates)))
+      rows.map(r => Seq(r.lsh.sigLevel, r.lsh.stepWindows, r.relF1, r.speedup, r.candidates)))
 
   test("T5: Cab LSH sweep table (Fig 8a/b)") {
     show(cabSc.name, cabRows)
@@ -39,7 +41,7 @@ class T5LshLevelBench extends SparkSpec {
   }
 
   test("T5: coarse signature cells give no speed-up on the dense Cab data (paper: none below level 12)") {
-    val coarse = cabRows.filter(_.sigLevel == 10)
+    val coarse = cabRows.filter(_.lsh.sigLevel == 10)
     assert(coarse.map(_.speedup).min < 3.0,
       s"coarse speedups ${coarse.map(_.speedup)}")
     assert(coarse.map(_.relF1).max >= 0.9)
@@ -50,7 +52,7 @@ class T5LshLevelBench extends SparkSpec {
     // (DESIGN S1) and our record noise (0.4 km) matches its cell size there;
     // past that, dominating cells flip between the two samples and relF1
     // collapses — same knee, shifted axis.
-    val fine = cabRows.filter(r => r.sigLevel >= 14)
+    val fine = cabRows.filter(r => r.lsh.sigLevel >= 14)
     val good = fine.filter(_.relF1 >= 0.8)
     assert(good.nonEmpty, s"no accuracy-preserving fine setting: $fine")
     assert(good.map(_.speedup).max >= 20.0, s"speedups ${good.map(_.speedup)}")
@@ -62,10 +64,10 @@ class T5LshLevelBench extends SparkSpec {
     // SM's cross-city structure prunes harder per pair.
     // Compared at (sigLevel 12, step 48), where both profiles preserve F1 —
     // at degenerate settings retention measures lost true pairs, not pruning.
-    def retention(rows: Seq[LshLevelRow], sc: Experiments.Scenario): Double = {
+    def retention(rows: Seq[LshRow], sc: Experiments.Scenario): Double = {
       val total = sc.e.select("id").distinct().count() *
         sc.i.select("id").distinct().count()
-      rows.find(r => r.sigLevel == 12 && r.stepWindows == 48).get.candidates.toDouble / total
+      rows.find(r => r.lsh.sigLevel == 12 && r.lsh.stepWindows == 48).get.candidates.toDouble / total
     }
     val cab = retention(cabRows, cabSc)
     val sm = retention(smRows, smSc)
@@ -73,8 +75,8 @@ class T5LshLevelBench extends SparkSpec {
   }
 
   test("T5: SM speed-up rises earlier in spatial detail (lower geographic skew)") {
-    val cab12 = cabRows.filter(_.sigLevel == 12).map(_.speedup).max
-    val sm12 = smRows.filter(_.sigLevel == 12).map(_.speedup).max
+    val cab12 = cabRows.filter(_.lsh.sigLevel == 12).map(_.speedup).max
+    val sm12 = smRows.filter(_.lsh.sigLevel == 12).map(_.speedup).max
     assert(sm12 >= cab12, s"sm@12 $sm12 vs cab@12 $cab12")
   }
 }

@@ -2,7 +2,7 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 
-import repro.core.Slim
+import repro.core.{Lsh, Slim}
 import repro.exp.Experiments
 import repro.exp.Experiments._
 
@@ -99,10 +99,12 @@ object JobT5 {
     for ((name, sc) <- Seq(
       "Cab" -> cabScenario(spark, Jobs.n(130, s), 1000, 7, 0.5, 0.5),
       "SM" -> smScenario(spark, Jobs.n(1500, s), 24, 26, 0.5, 0.5))) {
-      val rows = lshLevelSweep(spark, sc, cfg, Seq(10, 12, 14, 16), Seq(12, 24, 48))
+      val grid = for (lvl <- Seq(10, 12, 14, 16); step <- Seq(12, 24, 48))
+        yield Lsh.LshConfig(t = 0.6, sigLevel = lvl, stepWindows = step, numBuckets = 4096)
+      val rows = lshSweep(spark, sc, cfg, grid)
       Experiments.printTable(s"T5 Fig8 $name ${sc.name}",
         Seq("sigLevel", "step", "relF1", "speedup", "candidates"),
-        rows.map(r => Seq(r.sigLevel, r.stepWindows, r.relF1, r.speedup, r.candidates)))
+        rows.map(r => Seq(r.lsh.sigLevel, r.lsh.stepWindows, r.relF1, r.speedup, r.candidates)))
     }
     spark.stop()
   }
@@ -116,11 +118,12 @@ object JobT6 {
     for ((name, sc) <- Seq(
       "Cab" -> cabScenario(spark, Jobs.n(130, s), 1000, 7, 0.5, 0.5),
       "SM" -> smScenario(spark, Jobs.n(1500, s), 24, 26, 0.5, 0.5))) {
-      val rows = lshBucketSweep(spark, sc, cfg,
-        Seq(1 << 8, 1 << 12, 1 << 15, 1 << 18), Seq(0.4, 0.6, 0.8))
+      val grid = for (t <- Seq(0.4, 0.6, 0.8); b <- Seq(1 << 8, 1 << 12, 1 << 15, 1 << 18))
+        yield Lsh.LshConfig(t = t, sigLevel = 16, stepWindows = 48, numBuckets = b)
+      val rows = lshSweep(spark, sc, cfg, grid)
       Experiments.printTable(s"T6 Fig9 $name ${sc.name}",
         Seq("t", "buckets", "relF1", "speedup"),
-        rows.map(r => Seq(r.t, r.buckets, r.relF1, r.speedup)))
+        rows.map(r => Seq(r.lsh.t, r.lsh.numBuckets, r.relF1, r.speedup)))
     }
     spark.stop()
   }

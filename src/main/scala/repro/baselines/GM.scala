@@ -154,7 +154,7 @@ object GM {
     val edges = finite.toSeq.map { case ((u, v), s) => Matching.Edge(u, v, s + shift) }
     val matched = Matching.greedy(edges)
     val ws = matched.map(_.w).toArray
-    val threshold = Gmm.stopThreshold(ws)
+    val threshold = Gmm.stopThreshold(ws)._1
     val links = matched.filter(_.w >= threshold).map(e => (e.u, e.v, e.w - shift))
 
     val comparisons = uids.size.toLong * recordsI.count()

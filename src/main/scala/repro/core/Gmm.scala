@@ -118,11 +118,13 @@ object Gmm {
   }
 
   /** End-to-end: fit the mixture over matched edge weights and return the stop
-    * threshold. With fewer than four edges there is nothing to fit — keep all.
+    * threshold with the fitted mixture. With fewer than four edges there is
+    * nothing to fit — keep all (threshold -inf, no mixture).
     */
-  def stopThreshold(weights: Array[Double]): Double = {
-    if (weights.length < 4) return Double.NegativeInfinity
-    val g = fit(weights)
-    selectThreshold(g, weights.min, weights.max)
-  }
+  def stopThreshold(weights: Array[Double]): (Double, Option[Gmm2]) =
+    if (weights.length < 4) (Double.NegativeInfinity, None)
+    else {
+      val g = fit(weights)
+      (selectThreshold(g, weights.min, weights.max), Some(g))
+    }
 }

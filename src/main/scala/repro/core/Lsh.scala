@@ -76,7 +76,8 @@ object Lsh {
     * have no row (the placeholder).
     *
     * Ties on the record count break toward the smallest cell id, so the
-    * result is deterministic and matches [[HistoryTree.dominatingCell]].
+    * result is deterministic and matches the dominating-cell queries of the
+    * in-core history tree that the tests keep as a reference (DESIGN S2).
     */
   def signatures(records: DataFrame, cfg: LshConfig, windowSec: Long): DataFrame = {
     val qSec = windowSec * cfg.stepWindows

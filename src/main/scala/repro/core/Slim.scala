@@ -66,7 +66,9 @@ object Slim {
     e.crossJoin(i)
   }
 
-  /** Run SLIM over two location datasets `(id, ts, lat, lon)`. */
+  /** Run SLIM over two location datasets `(id, ts, lat, lon)`. An empty side
+    * gives an empty result: no links, no candidates, threshold -inf.
+    */
   def link(spark: SparkSession, recordsE: DataFrame, recordsI: DataFrame,
            cfg: SlimConfig): SlimResult = {
     val t0 = System.nanoTime()
@@ -75,6 +77,11 @@ object Slim {
     val histI = Histories.build(recordsI, cfg.level, cfg.windowSec).cache()
     val nE = Histories.nEntities(histE)
     val nI = Histories.nEntities(histI)
+    if (nE == 0 || nI == 0) {
+      histE.unpersist(); histI.unpersist()
+      return SlimResult(Nil, Nil, Double.NegativeInfinity, None, 0L, 0L, 0L,
+        (System.nanoTime() - t0) / 1000000L)
+    }
     val binsE = Histories.binsByWindow(histE, Histories.idf(histE, nE))
     val binsI = Histories.binsByWindow(histI, Histories.idf(histI, nI))
     val lensE = Histories.lengthNorm(histE, cfg.bParam)
@@ -99,35 +106,12 @@ object Slim {
       .map(r => Matching.Edge(r.getLong(0), r.getLong(1), r.getDouble(2))).toSeq
 
     val matched = Matching.greedy(edges)
-    val weights = matched.map(_.w).toArray
-    val (threshold, gmm) =
-      if (weights.length < 4) (Double.NegativeInfinity, None)
-      else {
-        val g = Gmm.fit(weights)
-        (Gmm.selectThreshold(g, weights.min, weights.max), Some(g))
-      }
+    val (threshold, gmm) = Gmm.stopThreshold(matched.map(_.w).toArray)
     val links = matched.filter(_.w >= threshold).map(e => (e.u, e.v, e.w))
 
     val elapsedMs = (System.nanoTime() - t0) / 1000000L
     scored.unpersist(); cand.unpersist(); histE.unpersist(); histI.unpersist()
     SlimResult(links, matched, threshold, gmm, nCandidates,
       stats.getLong(0), stats.getLong(1), elapsedMs)
-  }
-
-  /** Exact brute-force bin-comparison count, computed analytically: for each
-    * window w, (#bins of E in w) * (#bins of I in w) summed over windows —
-    * identical to what a cross-product run would perform, without running it.
-    * This is the §5.3 speed-up denominator... numerator: the LSH run's
-    * [[SlimResult.comparisons]].
-    */
-  def bruteForceComparisons(recordsE: DataFrame, recordsI: DataFrame,
-                            cfg: SlimConfig): Long = {
-    val he = Histories.build(recordsE, cfg.level, cfg.windowSec)
-      .groupBy("win").agg(count(lit(1)).as("ne"))
-    val hi = Histories.build(recordsI, cfg.level, cfg.windowSec)
-      .groupBy("win").agg(count(lit(1)).as("ni"))
-    val row = he.join(hi, "win")
-      .agg(coalesce(sum(col("ne") * col("ni")), lit(0L))).first()
-    row.getLong(0)
   }
 }

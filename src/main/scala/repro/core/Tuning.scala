@@ -1,6 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
 
 /** Spatial-level auto-tuning (paper §3.3).
   *
@@ -40,8 +41,8 @@ object Tuning {
 
   /** Average pair-over-self similarity ratio at each candidate level, for a
     * sample of entities from a single dataset crossed with a pool of others.
-    * Runs in-core over the sampled records ([[LocalReference]]) — the sample
-    * is small by design.
+    * Runs in-core over the sampled records ([[LocalReference]]); only those
+    * records reach the driver, and the sample is small by design.
     */
   def selfSimilarityCurve(records: DataFrame, windowSec: Long, levels: Seq[Int],
                           bParam: Double, speedKmPerMin: Double,
@@ -52,10 +53,8 @@ object Tuning {
     val shuffled = rnd.shuffle(ids.toVector)
     val sample = shuffled.take(sampleEntities)
     val pool = shuffled.slice(sampleEntities, sampleEntities + poolEntities)
-    val keep = (sample ++ pool).toSet
-    val rows = records.collect()
+    val rows = records.filter(col("id").isin(sample ++ pool: _*)).collect()
       .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getDouble(3)))
-      .filter(r => keep(r._1))
 
     levels.map { level =>
       val local = LocalReference.Dataset.fromRecords(rows, level, windowSec)

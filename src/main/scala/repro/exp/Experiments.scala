@@ -117,46 +117,26 @@ object Experiments {
       SensitivityRow(rho, p, n.toDouble / math.max(1, ents), m.f1, m.elapsedMs)
     }
 
-  // -------------------------------------------------------------------- T5
+  // --------------------------------------------------------------- T5 / T6
 
-  final case class LshLevelRow(sigLevel: Int, stepWindows: Int, relF1: Double,
-                               speedup: Double, candidates: Long)
+  final case class LshRow(lsh: Lsh.LshConfig, relF1: Double, speedup: Double,
+                          candidates: Long)
 
-  /** Fig 8: relative F1 (LSH/brute-force) and comparison-count speed-up as a
-    * function of signature spatial level and temporal step size.
+  /** Fig 8/9: relative F1 (LSH/brute-force), comparison-count speed-up and
+    * candidate count of each LSH setting, in the order given, against one
+    * brute-force run. T5 sweeps signature level × temporal step, T6 hash
+    * buckets × threshold.
     */
-  def lshLevelSweep(spark: SparkSession, sc: Scenario, cfg: Slim.SlimConfig,
-                    sigLevels: Seq[Int], steps: Seq[Int], t: Double = 0.6,
-                    numBuckets: Int = 4096): Seq[LshLevelRow] = {
+  def lshSweep(spark: SparkSession, sc: Scenario, cfg: Slim.SlimConfig,
+               lshs: Seq[Lsh.LshConfig]): Seq[LshRow] = {
     val bf = runSlim(spark, sc, cfg)
-    for (lvl <- sigLevels; step <- steps) yield {
-      val lsh = runSlim(spark, sc, cfg.copy(lsh = Some(
-        Lsh.LshConfig(t = t, sigLevel = lvl, stepWindows = step, numBuckets = numBuckets))))
-      LshLevelRow(lvl, step,
+    lshs.map { l =>
+      val lsh = runSlim(spark, sc, cfg.copy(lsh = Some(l)))
+      LshRow(l,
         if (bf.f1 == 0) 0 else lsh.f1 / bf.f1,
         if (lsh.comparisons == 0) Double.PositiveInfinity
         else bf.comparisons.toDouble / lsh.comparisons,
         lsh.nCandidates)
-    }
-  }
-
-  // -------------------------------------------------------------------- T6
-
-  final case class LshBucketRow(buckets: Int, t: Double, relF1: Double, speedup: Double)
-
-  /** Fig 9: speed-up vs the number of hash buckets, per LSH threshold. */
-  def lshBucketSweep(spark: SparkSession, sc: Scenario, cfg: Slim.SlimConfig,
-                     bucketCounts: Seq[Int], ts: Seq[Double],
-                     sigLevel: Int = 16, stepWindows: Int = 48): Seq[LshBucketRow] = {
-    val bf = runSlim(spark, sc, cfg)
-    for (t <- ts; b <- bucketCounts) yield {
-      val lsh = runSlim(spark, sc, cfg.copy(lsh = Some(
-        Lsh.LshConfig(t = t, sigLevel = sigLevel, stepWindows = stepWindows,
-          numBuckets = b))))
-      LshBucketRow(b, t,
-        if (bf.f1 == 0) 0 else lsh.f1 / bf.f1,
-        if (lsh.comparisons == 0) Double.PositiveInfinity
-        else bf.comparisons.toDouble / lsh.comparisons)
     }
   }
 

@@ -102,7 +102,7 @@ class CorePropertySpec extends AnyFunSuite {
   test("property: GMM stop threshold lies within the weight range") {
     trials(60) { r =>
       val ws = Array.fill(8 + r.nextInt(40))(r.nextDouble() * 100)
-      val s = Gmm.stopThreshold(ws)
+      val (s, _) = Gmm.stopThreshold(ws)
       assert(s >= ws.min - 1e-9 && s <= ws.max + 1e-9)
     }
   }

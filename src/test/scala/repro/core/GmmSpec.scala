@@ -78,7 +78,8 @@ class GmmSpec extends AnyFunSuite {
   test("stopThreshold end-to-end on a mixed weight sample") {
     val rnd = new Random(8)
     val weights = sample(rnd, 200, 1.0, 0.3) ++ sample(rnd, 200, 6.0, 0.8)
-    val s = Gmm.stopThreshold(weights)
+    val (s, g) = Gmm.stopThreshold(weights)
+    assert(g.isDefined)
     assert(s > 1.5 && s < 5.5, s"threshold $s")
     // thresholding keeps mostly the high component
     val kept = weights.filter(_ >= s)
@@ -87,8 +88,8 @@ class GmmSpec extends AnyFunSuite {
   }
 
   test("stopThreshold keeps everything for tiny inputs") {
-    assert(Gmm.stopThreshold(Array(1.0, 2.0, 3.0)) == Double.NegativeInfinity)
-    assert(Gmm.stopThreshold(Array.empty[Double]) == Double.NegativeInfinity)
+    assert(Gmm.stopThreshold(Array(1.0, 2.0, 3.0)) == (Double.NegativeInfinity, None))
+    assert(Gmm.stopThreshold(Array.empty[Double]) == (Double.NegativeInfinity, None))
   }
 
   test("selectThreshold handles degenerate range") {

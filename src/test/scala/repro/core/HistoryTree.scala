@@ -13,7 +13,8 @@ import scala.collection.mutable
   * cell with the highest record count in an arbitrary window range — exactly
   * what the LSH signature construction (§4) needs. The Spark pipeline computes
   * the same answers with a `groupBy` at query-window granularity
-  * ([[Lsh.signatures]]); tests assert both agree.
+  * ([[Lsh.signatures]]); `LshSparkSpec` asserts both agree. The pipeline
+  * never queries the tree, so it is kept in test scope as that reference.
   */
 final class HistoryTree private (
     val winMin: Long,

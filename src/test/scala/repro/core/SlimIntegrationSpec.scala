@@ -1,5 +1,7 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
+
 import repro.SparkSpec
 import repro.mobility.MobilityGen
 
@@ -83,6 +85,13 @@ class SlimIntegrationSpec extends SparkSpec {
       (2L, 104500L, 10.0, 10.0)))
     val r = Slim.link(spark, e, i, cfg)
     assert(r.links.isEmpty && r.comparisons == 0)
+    // An empty side: an empty result, not a failed idf or length norm.
+    val none = e.limit(0)
+    for ((a, b) <- Seq((e, none), (none, i))) {
+      val out = Slim.link(spark, a, b, cfg)
+      assert(out.links.isEmpty && out.matched.isEmpty && out.nCandidates == 0 &&
+        out.comparisons == 0 && out.threshold == Double.NegativeInfinity)
+    }
   }
 
   test("self-linkage sanity: the full matching at intersection 1.0 is near-perfect") {
@@ -98,7 +107,18 @@ class SlimIntegrationSpec extends SparkSpec {
     assert(m.f1 >= 0.9, s"self-linkage matching F1 ${m.f1}")
   }
 
-  test("bruteForceComparisons matches the brute-force run's counter") {
-    assert(Slim.bruteForceComparisons(pair.e, pair.i, cfg) == bf.comparisons)
+  test("brute-force comparison counter equals the in-core bin-pair count") {
+    // Sum over windows of (#E bins) * (#I bins): every bin pair of a shared
+    // window is compared once under brute force.
+    def binsPerWindow(records: DataFrame): Map[Long, Long] = {
+      val rows = records.collect().toSeq
+        .map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getDouble(3)))
+      LocalReference.Dataset.fromRecords(rows, cfg.level, cfg.windowSec).histories
+        .values.flatMap(_.map { case (w, cells) => (w, cells.size.toLong) })
+        .groupMapReduce(_._1)(_._2)(_ + _)
+    }
+    val (be, bi) = (binsPerWindow(pair.e), binsPerWindow(pair.i))
+    val expected = be.map { case (w, n) => n * bi.getOrElse(w, 0L) }.sum
+    assert(expected > 0 && expected == bf.comparisons)
   }
 }
