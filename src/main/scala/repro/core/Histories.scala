@@ -73,7 +73,7 @@ object Histories {
   /** Convenience: number of distinct entities in a history set. */
   def nEntities(hist: DataFrame): Long = hist.select("id").distinct().count()
 
-  /** Convenience for tests: build histories from an in-memory record list. */
+  /** Convenience for tests: a records DataFrame from an in-memory list. */
   def recordsDf(spark: SparkSession, rows: Seq[(Long, Long, Double, Double)]): DataFrame = {
     import spark.implicits._
     rows.toDF("id", "ts", "lat", "lon")

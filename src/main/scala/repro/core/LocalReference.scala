@@ -19,8 +19,8 @@ object LocalReference {
   )
 
   object Dataset {
-    /** Build from raw `(id, ts, lat, lon)` tuples. `bParam` defaults to the
-      * paper's 0.5 via [[fromRecords]]'s caller.
+    /** Build from raw `(id, ts, lat, lon)` tuples. `bParam` is the BM25
+      * length-norm weight b (paper default 0.5); the norms are fixed here.
       */
     def fromRecords(rows: Seq[(Long, Long, Double, Double)], level: Int,
                     windowSec: Long, bParam: Double = 0.5): Dataset = {
@@ -45,8 +45,8 @@ object LocalReference {
   }
 
   /** Similarity S(u, v) between entity `u` of dataset `e` and `v` of `i`.
-    * `bParam` only selects whether the prebuilt norms are applied
-    * (cfg.useNorm); the norms themselves were fixed at build time.
+    * `cfg.useNorm` selects whether the prebuilt norms are applied. `bParam` is
+    * ignored: the norms were fixed by [[Dataset.fromRecords]].
     */
   def score(e: Dataset, i: Dataset, u: Long, v: Long,
             cfg: Similarity.ScoreConfig, bParam: Double = 0.5): Double = {

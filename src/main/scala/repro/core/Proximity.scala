@@ -14,13 +14,13 @@ package repro.core
   *  - d = 0      -> P = 1 (same cell, maximal award)
   *  - d = R      -> P = 0 (neutral)
   *  - d in (R,2R)-> P < 0 (alibi: counter-evidence, steeply negative)
-  *  - d >= 2R    -> the paper's formula diverges to -inf; we clamp at `floor`
-  *                  so one alibi pair is strong but finite counter-evidence.
+  *  - d >= 2R    -> the paper's formula diverges to -inf; we clamp at the
+  *                  floor so one alibi pair is strong but finite counter-evidence.
   */
 object Proximity {
 
-  /** Default clamp for the alibi penalty: one floored alibi pair cancels
-    * twenty perfect-match pairs.
+  /** Clamp for the alibi penalty: one floored alibi pair cancels twenty
+    * perfect-match pairs.
     */
   val DefaultFloor: Double = -20.0
 
@@ -34,15 +34,14 @@ object Proximity {
     (windowSec / 60.0) * speedKmPerMin
 
   /** Proximity of two same-window bins at cell distance `dKm`. */
-  def proximity(dKm: Double, runawayKm: Double, floor: Double = DefaultFloor): Double = {
+  def proximity(dKm: Double, runawayKm: Double): Double = {
     require(runawayKm > 0, "runaway distance must be positive")
     val ratio = math.min(dKm / runawayKm, 2.0)
     val raw = if (ratio >= 2.0) Double.NegativeInfinity else math.log(2.0 - ratio) / Log2
-    math.max(raw, floor)
+    math.max(raw, DefaultFloor)
   }
 
   /** Proximity of two same-window cells, going through [[Grid.minDistanceKm]]. */
-  def cellProximity(cellA: Long, cellB: Long, runawayKm: Double,
-                    floor: Double = DefaultFloor): Double =
-    proximity(Grid.minDistanceKm(cellA, cellB), runawayKm, floor)
+  def cellProximity(cellA: Long, cellB: Long, runawayKm: Double): Double =
+    proximity(Grid.minDistanceKm(cellA, cellB), runawayKm)
 }

@@ -33,14 +33,12 @@ object Similarity {
   /** Scoring configuration shared by the in-core and DataFrame paths.
     *
     * @param runawayKm runaway distance R for the similarity window width
-    * @param floor     clamp for the alibi penalty (DESIGN S3)
     * @param pairing   bin pairing strategy (ablations)
     * @param useIdf    include the min-idf multiplier (Fig. 10 "No IDF" off)
     * @param useNorm   divide by L(u)L(v) (Fig. 10 "No Normalization" off)
     */
   final case class ScoreConfig(
       runawayKm: Double,
-      floor: Double = Proximity.DefaultFloor,
       pairing: Pairing = MnnWithMfn,
       useIdf: Boolean = true,
       useNorm: Boolean = true,
@@ -97,7 +95,7 @@ object Similarity {
     val uc = us.map(_.cell); val vc = vs.map(_.cell)
     def weight(a: Int, b: Int): Double =
       if (cfg.useIdf) math.min(us(a).idf, vs(b).idf) else 1.0
-    def prox(d: Double): Double = Proximity.proximity(d, cfg.runawayKm, cfg.floor)
+    def prox(d: Double): Double = Proximity.proximity(d, cfg.runawayKm)
 
     var raw = 0.0; var alibis = 0L
     val comparisons = us.length.toLong * vs.length.toLong
@@ -127,19 +125,20 @@ object Similarity {
     WindowScore(raw, comparisons, alibis)
   }
 
-  /** DataFrame edge scoring: the candidate-pair similarity join.
+  /** DataFrame edge scoring: the windowed similarity join.
     *
     * @param binsE      `(id, win, bins)` from [[Histories.binsByWindow]] (dataset E)
     * @param binsI      same for dataset I
-    * @param candidates `(uid, vid)` pairs to score (LSH output or cross product)
+    * @param candidates `(uid, vid)` pairs to score (LSH output), or `None` for
+    *                   brute force: every pair of entities that shares a window
     * @param lensE      `(id, nbins, lnorm)` from [[Histories.lengthNorm]] (E)
     * @param lensI      same for I
-    * @return one row per candidate pair that shares at least one window:
+    * @return one row per (candidate) pair that shares at least one window:
     *         `(uid, vid, score, comparisons, alibis)`. The caller applies
     *         Alg. 1's "if S > 0" edge filter — the unfiltered rows carry the
     *         comparison counts (the §5 cost metric) and alibi counts.
     */
-  def scoreEdges(binsE: DataFrame, binsI: DataFrame, candidates: DataFrame,
+  def scoreEdges(binsE: DataFrame, binsI: DataFrame, candidates: Option[DataFrame],
                  lensE: DataFrame, lensI: DataFrame, cfg: ScoreConfig): DataFrame = {
     val scoreUdf = udf { (u: Seq[Row], v: Seq[Row]) =>
       val ub = u.map(r => Bin(r.getLong(0), r.getDouble(1))).toIndexedSeq
@@ -149,10 +148,10 @@ object Similarity {
     }
     val e = binsE.select(col("id").as("uid"), col("win"), col("bins").as("ubins"))
     val i = binsI.select(col("id").as("vid"), col("win"), col("bins").as("vbins"))
-    val perWindow = candidates
-      .join(e, Seq("uid"))
-      .join(i, Seq("vid", "win")) // blocking join: only shared windows survive
-      .withColumn("ws", scoreUdf(col("ubins"), col("vbins")))
+    val perWindow = (candidates match { // blocking join: only shared windows survive
+      case Some(c) => c.join(e, Seq("uid")).join(i, Seq("vid", "win"))
+      case None    => e.join(i, Seq("win"))
+    }).withColumn("ws", scoreUdf(col("ubins"), col("vbins")))
     val aggregated = perWindow
       .groupBy("uid", "vid")
       .agg(
@@ -169,4 +168,9 @@ object Similarity {
       else aggregated.withColumn("score", col("raw"))
     scored.select("uid", "vid", "score", "comparisons", "alibis")
   }
+
+  /** `scoreEdges` with `Some(candidates)`. */
+  def scoreEdges(binsE: DataFrame, binsI: DataFrame, candidates: DataFrame,
+                 lensE: DataFrame, lensI: DataFrame, cfg: ScoreConfig): DataFrame =
+    scoreEdges(binsE, binsI, Some(candidates), lensE, lensI, cfg)
 }

@@ -174,22 +174,15 @@ object Experiments {
   final case class ComparisonRow(algo: String, avgRecords: Double, hitPrec40: Double,
                                  f1: Double, elapsedMs: Long, comparisons: Long)
 
-  /** All pairwise SLIM scores (brute force) — the ranking behind SLIM's
-    * Hit-Precision@k.
+  /** All pairwise SLIM scores (brute force; `cfg.lsh` is ignored) — the
+    * ranking behind SLIM's Hit-Precision@k. Empty when a side is empty.
     */
   def slimScores(spark: SparkSession, sc: Scenario,
-                 cfg: Slim.SlimConfig): Map[(Long, Long), Double] = {
-    val histE = Histories.build(sc.e, cfg.level, cfg.windowSec).cache()
-    val histI = Histories.build(sc.i, cfg.level, cfg.windowSec).cache()
-    val binsE = Histories.binsByWindow(histE, Histories.idf(histE, Histories.nEntities(histE)))
-    val binsI = Histories.binsByWindow(histI, Histories.idf(histI, Histories.nEntities(histI)))
-    val out = Similarity.scoreEdges(binsE, binsI, Slim.allPairsCandidates(sc.e, sc.i),
-      Histories.lengthNorm(histE, cfg.bParam), Histories.lengthNorm(histI, cfg.bParam),
-      cfg.scoreConfig)
-      .collect().map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
-    histE.unpersist(); histI.unpersist()
-    out
-  }
+                 cfg: Slim.SlimConfig): Map[(Long, Long), Double] =
+    Slim.withScores(sc.e, sc.i, cfg.copy(lsh = None)) { (scored, _) =>
+      scored.select("uid", "vid", "score").collect()
+        .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
+    }.getOrElse(Map.empty)
 
   /** Fig 11a/b: SLIM (LSH), SLIM-noLSH, ST-Link and GM on datasets of
     * increasing record density: Hit-Precision@40, F1, runtime.

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.SparkSpec
 import repro.mobility.MobilityGen
@@ -10,41 +11,49 @@ class SimilarityPipelineSpec extends SparkSpec {
   private val Level = 13
   private val WindowSec = 900L
   private val BParam = 0.5
+  private val Base = Slim.SlimConfig(level = Level, windowSec = WindowSec, bParam = BParam)
 
-  private def scoreAll(recordsE: org.apache.spark.sql.DataFrame,
-                       recordsI: org.apache.spark.sql.DataFrame,
-                       cfg: Similarity.ScoreConfig): Map[(Long, Long), Double] = {
-    val histE = Histories.build(recordsE, Level, WindowSec).cache()
-    val histI = Histories.build(recordsI, Level, WindowSec).cache()
-    val binsE = Histories.binsByWindow(histE, Histories.idf(histE, Histories.nEntities(histE)))
-    val binsI = Histories.binsByWindow(histI, Histories.idf(histI, Histories.nEntities(histI)))
-    val lensE = Histories.lengthNorm(histE, BParam)
-    val lensI = Histories.lengthNorm(histI, BParam)
-    val cand = Slim.allPairsCandidates(recordsE, recordsI)
-    Similarity.scoreEdges(binsE, binsI, cand, lensE, lensI, cfg).collect()
+  private def toScores(scored: DataFrame): Map[(Long, Long), Double] =
+    scored.select("uid", "vid", "score").collect()
       .map(r => ((r.getLong(0), r.getLong(1)), r.getDouble(2))).toMap
+
+  /** Brute-force scores through the pipeline's stages 1–3. */
+  private def scoreAll(recordsE: DataFrame, recordsI: DataFrame,
+                       cfg: Slim.SlimConfig): Map[(Long, Long), Double] =
+    Slim.withScores(recordsE, recordsI, cfg)((scored, _) => toScores(scored)).get
+
+  /** Scores of the pairs in a candidate table. */
+  private def scoreCandidates(recordsE: DataFrame, recordsI: DataFrame, cfg: Slim.SlimConfig,
+                              candidates: DataFrame): Map[(Long, Long), Double] = {
+    val histE = Histories.build(recordsE, Level, WindowSec)
+    val histI = Histories.build(recordsI, Level, WindowSec)
+    toScores(Similarity.scoreEdges(
+      Histories.binsByWindow(histE, Histories.idf(histE, Histories.nEntities(histE))),
+      Histories.binsByWindow(histI, Histories.idf(histI, Histories.nEntities(histI))),
+      Some(candidates), Histories.lengthNorm(histE, BParam), Histories.lengthNorm(histI, BParam),
+      cfg.scoreConfig))
   }
 
+  /** In-core scores of every pair, kept by `keep`, that shares a window. */
   private def localScoreAll(rowsE: Seq[(Long, Long, Double, Double)],
                             rowsI: Seq[(Long, Long, Double, Double)],
-                            cfg: Similarity.ScoreConfig): Map[(Long, Long), Double] = {
+                            cfg: Similarity.ScoreConfig,
+                            keep: ((Long, Long)) => Boolean = _ => true)
+      : Map[(Long, Long), Double] = {
     val dsE = LocalReference.Dataset.fromRecords(rowsE, Level, WindowSec, BParam)
     val dsI = LocalReference.Dataset.fromRecords(rowsI, Level, WindowSec, BParam)
     (for {
-      u <- dsE.histories.keys; v <- dsI.histories.keys
-      s = LocalReference.score(dsE, dsI, u, v, cfg, BParam)
-      if s != 0.0
-    } yield (u, v) -> s).toMap
+      (u, hu) <- dsE.histories; (v, hv) <- dsI.histories
+      if keep((u, v)) && hu.keySet.exists(hv.contains)
+    } yield (u, v) -> LocalReference.score(dsE, dsI, u, v, cfg, BParam)).toMap
   }
 
+  /** Same pairs, and scores within 1e-6 relative. */
   private def assertAgree(spark1: Map[(Long, Long), Double],
                           local: Map[(Long, Long), Double]): Unit = {
-    // Spark emits rows only for pairs sharing >= 1 window; local emits nonzero
-    // scores. Compare on the union, treating absence as 0.
-    val keys = spark1.keySet ++ local.keySet
-    for (k <- keys) {
-      val a = spark1.getOrElse(k, 0.0)
-      val b = local.getOrElse(k, 0.0)
+    assert(spark1.keySet == local.keySet)
+    for ((k, b) <- local) {
+      val a = spark1(k)
       assert(math.abs(a - b) < 1e-6 * math.max(1.0, math.abs(b)), s"pair $k: spark=$a local=$b")
     }
   }
@@ -55,33 +64,42 @@ class SimilarityPipelineSpec extends SparkSpec {
     MobilityGen.samplePair(ground, n = n, intersectRatio = 0.5, inclusionProb = p)
   }
 
-  private def collectRows(df: org.apache.spark.sql.DataFrame) =
+  private def collectRows(df: DataFrame) =
     df.collect().map(r => (r.getLong(0), r.getLong(1), r.getDouble(2), r.getDouble(3))).toSeq
 
   for (pairing <- Seq(Similarity.MnnWithMfn, Similarity.MnnOnly, Similarity.AllPairs)) {
     test(s"scoreEdges equals LocalReference ($pairing)") {
       val pair = genPair(10, 60, 0.7)
-      val cfg = Similarity.ScoreConfig(
-        runawayKm = Proximity.runawayKm(WindowSec, 2.0), pairing = pairing)
-      assertAgree(
-        scoreAll(pair.e, pair.i, cfg),
-        localScoreAll(collectRows(pair.e), collectRows(pair.i), cfg))
+      val cfg = Base.copy(pairing = pairing)
+      val (rowsE, rowsI) = (collectRows(pair.e), collectRows(pair.i))
+      val bruteForce = scoreAll(pair.e, pair.i, cfg)
+      assertAgree(bruteForce, localScoreAll(rowsE, rowsI, cfg.scoreConfig))
+      // A candidate table restricts the output to its pairs that share a
+      // window: the full cross product gives the brute-force rows. The filter
+      // does not depend on the pairing, so it is checked on the default only.
+      if (pairing == Similarity.MnnWithMfn) {
+        val all = Slim.allPairsCandidates(pair.e, pair.i)
+        assertAgree(scoreCandidates(pair.e, pair.i, cfg, all), bruteForce)
+        val inSubset = (k: (Long, Long)) => (k._1 + k._2) % 3 == 0
+        val subset = localScoreAll(rowsE, rowsI, cfg.scoreConfig, inSubset)
+        assert(subset.nonEmpty && subset.size < bruteForce.size)
+        assertAgree(scoreCandidates(pair.e, pair.i, cfg,
+          all.filter((col("uid") + col("vid")) % 3 === 0)), subset)
+      }
     }
   }
 
   test("scoreEdges equals LocalReference without idf and norm") {
     val pair = genPair(8, 50, 0.7)
-    val cfg = Similarity.ScoreConfig(
-      runawayKm = Proximity.runawayKm(WindowSec, 2.0), useIdf = false, useNorm = false)
+    val cfg = Base.copy(useIdf = false, useNorm = false)
     assertAgree(
       scoreAll(pair.e, pair.i, cfg),
-      localScoreAll(collectRows(pair.e), collectRows(pair.i), cfg))
+      localScoreAll(collectRows(pair.e), collectRows(pair.i), cfg.scoreConfig))
   }
 
   test("true pairs outscore impostors on generated data") {
     val pair = genPair(12, 80, 0.8)
-    val cfg = Similarity.ScoreConfig(runawayKm = Proximity.runawayKm(WindowSec, 2.0))
-    val scores = scoreAll(pair.e, pair.i, cfg)
+    val scores = scoreAll(pair.e, pair.i, Base)
     var wins = 0; var total = 0
     for ((u, v) <- pair.truth) {
       val own = scores.getOrElse((u, v), 0.0)
@@ -103,8 +121,7 @@ class SimilarityPipelineSpec extends SparkSpec {
     val histI = Histories.build(i, Level, WindowSec)
     val binsE = Histories.binsByWindow(histE, Histories.idf(histE, 1))
     val binsI = Histories.binsByWindow(histI, Histories.idf(histI, 2))
-    val scored = Similarity.scoreEdges(binsE, binsI,
-      Slim.allPairsCandidates(e, i),
+    val scored = Similarity.scoreEdges(binsE, binsI, None,
       Histories.lengthNorm(histE, BParam), Histories.lengthNorm(histI, BParam),
       // idf off: with one entity per dataset every bin's idf is ln(1/1) = 0,
       // which would zero all contributions — proximity sign is under test here
@@ -124,8 +141,7 @@ class SimilarityPipelineSpec extends SparkSpec {
     val histI = Histories.build(i, Level, WindowSec)
     val scored = Similarity.scoreEdges(
       Histories.binsByWindow(histE, Histories.idf(histE, 1)),
-      Histories.binsByWindow(histI, Histories.idf(histI, 1)),
-      Slim.allPairsCandidates(e, i),
+      Histories.binsByWindow(histI, Histories.idf(histI, 1)), None,
       Histories.lengthNorm(histE, BParam), Histories.lengthNorm(histI, BParam),
       Similarity.ScoreConfig(runawayKm = 30.0)).collect()
     // window 0: E has 2 bins, I has 3 distinct cells... I's bins in window 0:

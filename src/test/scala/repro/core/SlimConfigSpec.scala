@@ -22,10 +22,9 @@ class SlimConfigSpec extends AnyFunSuite {
 
   test("scoreConfig forwards the ablation flags") {
     val sc = Slim.SlimConfig(pairing = Similarity.AllPairs, useIdf = false,
-      useNorm = false, floor = -5.0).scoreConfig
+      useNorm = false).scoreConfig
     assert(sc.pairing == Similarity.AllPairs)
     assert(!sc.useIdf && !sc.useNorm)
-    assert(sc.floor == -5.0)
   }
 
   test("LSH defaults follow the paper's §5.3 setup") {

@@ -27,6 +27,21 @@ class SlimIntegrationSpec extends SparkSpec {
     assert(bf.nCandidates == nE * nI)
   }
 
+  test("brute force gives the same result at 4 shuffle partitions") {
+    val key = "spark.sql.shuffle.partitions"
+    val before = spark.conf.get(key)
+    val expected = bf // forced at the suite's partition count before the switch
+    spark.conf.set(key, "4")
+    val at4 = try Slim.link(spark, pair.e, pair.i, cfg) finally spark.conf.set(key, before)
+    def sorted(r: Slim.SlimResult) = r.links.sortBy(l => (l._1, l._2))
+    assert(sorted(at4).map(l => (l._1, l._2)) == sorted(expected).map(l => (l._1, l._2)))
+    sorted(at4).zip(sorted(expected)).foreach { case (a, b) =>
+      assert(math.abs(a._3 - b._3) <= 1e-9 * math.max(1.0, math.abs(b._3)), s"$a vs $b")
+    }
+    assert(at4.nCandidates == expected.nCandidates && at4.comparisons == expected.comparisons &&
+      at4.alibiEntityPairs == expected.alibiEntityPairs)
+  }
+
   test("stop threshold cuts false positives from the full matching") {
     // With intersection 0.5, the full matching must contain false links;
     // the GMM threshold should remove most of them without losing true ones.
